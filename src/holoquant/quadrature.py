@@ -22,17 +22,25 @@ Four measures appear throughout the package:
 
 All rules are deterministic for fixed inputs and immutable once built, so they
 can be shared freely across threads.
+
+The node tables behind the rules (Hermite, Legendre and Jacobi roots with their
+weights, found by the Golub-Welsch eigenproblem) are solved once per process
+for each order and shared read-only.  The tables depend only on the order (and
+the Jacobi exponent), never on ``hbar`` or ``scale``.  Every constructor call
+still scales the nodes itself and builds and validates a fresh
+``QuadratureRule``.  scipy supplies the Jacobi roots and is imported on the
+first ``disk_rule`` call, not with this module.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 __all__ = [
     "QuadratureRule",
@@ -41,6 +49,38 @@ __all__ = [
     "disk_rule",
     "su2_class_rule",
 ]
+
+
+# Orders in use are a few dozen per process; the bound only stops a caller that
+# sweeps orders from growing the tables without limit.  The caches are typed so
+# that an order numpy rejects (a float) never hits an int order's entry.
+_TABLE_CACHE_SIZE = 128
+
+
+def _read_only(nodes: np.ndarray, weights: np.ndarray):
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
+def _hermite_table(n):
+    """``hermgauss(n)``, solved once per order and returned read-only."""
+    return _read_only(*hermgauss(n))
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
+def _legendre_table(n):
+    """``leggauss(n)``, solved once per order and returned read-only."""
+    return _read_only(*leggauss(n))
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
+def _jacobi_table(n, a: float):
+    """``roots_jacobi(n, a, 0)``, solved once per (n, a) and returned read-only."""
+    from scipy.special import roots_jacobi
+
+    return _read_only(*roots_jacobi(n, a, 0.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,7 +139,7 @@ def gauss_hermite(n: int, hbar: float = 1.0) -> QuadratureRule:
         raise ValueError("need at least one node")
     if hbar <= 0.0:
         raise ValueError("hbar must be positive")
-    x, w = hermgauss(n)
+    x, w = _hermite_table(n)
     return QuadratureRule(
         nodes=x * math.sqrt(2.0 * hbar),
         weights=w / math.sqrt(math.pi),
@@ -136,7 +176,7 @@ def complex_gaussian(
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     if weight == "mu":
-        x, w = hermgauss(n)
+        x, w = _hermite_table(n)
         x = x * math.sqrt(scale)
         w = w / math.sqrt(math.pi)
         nodes = (x[:, None] + 1j * x[None, :]).ravel()
@@ -154,10 +194,10 @@ def complex_gaussian(
         m = 6 * n + 40 if n_window is None else int(n_window)
         if m < 1:
             raise ValueError("need at least one window node")
-        y, wy = hermgauss(n)
+        y, wy = _hermite_table(n)
         y = y * math.sqrt(scale)
         wy = wy / math.sqrt(math.pi)
-        u, wu = leggauss(m)
+        u, wu = _legendre_table(m)
         x = u * half_width
         wx = wu * half_width
         nodes = (x[:, None] + 1j * y[None, :]).ravel()
@@ -185,7 +225,7 @@ def disk_rule(n_radial: int, n_angular: int, a: float = 0.0) -> QuadratureRule:
         raise ValueError("weight exponent must satisfy a > -1")
     if n_radial < 1 or n_angular < 1:
         raise ValueError("need at least one node per direction")
-    xj, wj = roots_jacobi(n_radial, a, 0.0)
+    xj, wj = _jacobi_table(n_radial, float(a))
     s = 0.5 * (xj + 1.0)
     # int_0^1 (1-s)^a h(s) ds = 2^(-a-1) sum w_j h(s_j); the half below is the
     # Jacobian of dA = (1/2) ds dtheta

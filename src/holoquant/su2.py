@@ -19,11 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, _legendre_table
 
-# Largest doubled degree accepted by rep_matrix.  Binomial coefficients
-# up to comb(60, 30) ~ 1.2e17 still carry 16 significant digits as
-# floats, which keeps the entry formulas at full precision.
+# Largest doubled degree accepted by rep_matrix.  The entries are not at
+# full precision up to this cap: the unitarity residual max|D^H D - I|
+# measured 8.8e-15 at l=10, 2.4e-12 at l=20 and 1.6e-9 at l=30 for a
+# generic element, and reached 2.3e-14, 1.8e-11 and 1.6e-8 over 30 random
+# Euler angles.  The loss comes from cancellation among the terms of the
+# binomial sum in _rep_entries, not from the binomials themselves: up to
+# comb(60, 30) ~ 1.2e17 each one rounds to a float within 1.1e-16.
 MAX_DOUBLED_DEGREE = 60
 
 _DET_TOL = 1e-12
@@ -220,8 +224,10 @@ def rep_matrix(degree, group_element):
     """Matrix of the degree-l irreducible representation, l = degree.
 
     ``degree`` is a half integer; the result is (2l+1) square.  Doubled
-    degrees above MAX_DOUBLED_DEGREE are rejected: past that point the
-    binomial weights exhaust float precision.
+    degrees above MAX_DOUBLED_DEGREE are rejected.  Precision falls with
+    the degree because the entry sums cancel: the unitarity residual
+    max|D^H D - I| is about 8.8e-15 at l=10, 2.4e-12 at l=20 and 1.6e-9 at
+    l=30, and up to ten times larger for some elements.
     """
     m = _doubled(degree)
     if m > MAX_DOUBLED_DEGREE:
@@ -484,7 +490,7 @@ def euler_quadrature(n_phi, n_theta, n_psi):
     if n_phi < 1 or n_theta < 1 or n_psi < 1:
         raise ValueError("each angle needs at least one node")
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    cosines, gauss_weights = np.polynomial.legendre.leggauss(n_theta)
+    cosines, gauss_weights = _legendre_table(n_theta)
     thetas = np.arccos(cosines)
     psis = 4.0 * np.pi * np.arange(n_psi) / n_psi
     grid_phi, grid_theta, grid_psi = np.meshgrid(

@@ -274,15 +274,59 @@ def ground_state_transform(psi: WaveFunction) -> WaveFunction:
     return WaveFunction(psi.hermite_coefficients, psi.scale, "gaussian-weight")
 
 
+_COHERENT_TAIL_TOL = 1e-12
+
+
+def _poisson_tail_truncation(mean: float, tol: float) -> int:
+    """Smallest N whose Chernoff bound e^-m (e m/N)^N on P(X >= N) is <= tol.
+
+    X is Poisson with mean m > 0; the bound decreases in N beyond m, so a
+    doubling search followed by bisection finds N in O(log m) steps.
+    """
+    target = math.log(tol)
+
+    def enough(n):
+        return n > mean and n - mean + n * math.log(mean / n) <= target
+
+    lo, hi = 0, max(1, math.ceil(mean))
+    while not enough(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
+
+
 def coherent_state(z: complex, scale: float = 1.0, truncation: int = 64) -> WaveFunction:
     """Hermite expansion of ψ_z, the state with <ψ_z, f> = (C f)(z).
 
-    Coefficients are conj((C e_n)(z)); they decay like |z|^n/sqrt(2^n h^n n!),
-    so the default truncation covers |z| up to about 4 sqrt(h) at 1e-12.
+    Coefficients are conj((C e_n)(z)); their squared moduli are proportional
+    to a Poisson distribution with mean |z|^2/2h, so the default truncation
+    covers |z| up to about 6.5 sqrt(h).  The squared norm of the kept
+    coefficients is checked against the closed form <ψ_z, ψ_z>; if more than
+    1e-12 of it is dropped, ValueError names a truncation that is enough.
     """
     if truncation < 1:
         raise ValueError("truncation must be positive")
-    coef = np.conj(_c_transform_of_basis(truncation, complex(z), scale))
+    if scale <= 0.0:
+        raise ValueError("scale must be positive")
+    z = complex(z)
+    coef = np.conj(_c_transform_of_basis(truncation, z, scale))
+    kept = float(np.sum(np.abs(coef) ** 2))
+    exact = float(coherent_overlap(z, z, scale).real)
+    # written so that a NaN or infinite norm also fails the check
+    if not 1.0 - kept / exact <= _COHERENT_TAIL_TOL:
+        if not math.isfinite(exact) or abs(coef[0]) < np.finfo(float).tiny:
+            raise ValueError(
+                "z = %r at h = %g puts the coherent state's norm or leading "
+                "coefficient outside the float range; no truncation is enough"
+                % (z, scale))
+        mean = abs(z) ** 2 / (2.0 * scale)
+        raise ValueError(
+            "truncation %d drops more than %.0e of the coherent state's norm "
+            "at |z|^2/2h = %.6g; truncation %d is enough"
+            % (truncation, _COHERENT_TAIL_TOL, mean,
+               _poisson_tail_truncation(mean, _COHERENT_TAIL_TOL)))
     return WaveFunction(coef, scale, "lebesgue")
 
 

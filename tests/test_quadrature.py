@@ -1,11 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_jacobi
 
+import holoquant
+from holoquant import quadrature
 from holoquant.quadrature import (
     QuadratureRule,
     complex_gaussian,
@@ -13,6 +23,7 @@ from holoquant.quadrature import (
     gauss_hermite,
     su2_class_rule,
 )
+from holoquant.su2 import euler_quadrature
 
 
 def test_gauss_hermite_mass_and_variance():
@@ -149,3 +160,129 @@ def test_rule_determinism():
     b = gauss_hermite(17, hbar=0.37)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.weights, b.weights)
+
+
+# ------------------------------------------------ shared node tables
+
+def _reference_rules(hbar):
+    """(nodes, weights) solved afresh by numpy/scipy, scaled as each constructor does."""
+    out = {}
+    x, w = hermgauss(30)
+    out["gauss_hermite"] = (x * math.sqrt(2.0 * hbar), w / math.sqrt(math.pi))
+
+    x, w = hermgauss(9)
+    x = x * math.sqrt(hbar)
+    w = w / math.sqrt(math.pi)
+    out["mu"] = ((x[:, None] + 1j * x[None, :]).ravel(),
+                 (w[:, None] * w[None, :]).ravel())
+
+    y, wy = hermgauss(7)
+    y = y * math.sqrt(hbar)
+    wy = wy / math.sqrt(math.pi)
+    half_width = 12.0 * math.sqrt(hbar)
+    u, wu = leggauss(6 * 7 + 40)
+    x, wx = u * half_width, wu * half_width
+    out["nu"] = ((x[:, None] + 1j * y[None, :]).ravel(),
+                 (wx[:, None] * wy[None, :]).ravel())
+
+    xj, wj = roots_jacobi(10, 1.5, 0.0)
+    s = 0.5 * (xj + 1.0)
+    wr = 0.5 * (2.0 ** (-1.5 - 1.0)) * wj
+    theta = 2.0 * np.pi * np.arange(21) / 21
+    out["disk"] = ((np.sqrt(s)[:, None] * np.exp(1j * theta)[None, :]).ravel(),
+                   np.repeat(wr * (2.0 * np.pi / 21), 21))
+
+    cosines, gw = leggauss(5)
+    phis = 2.0 * np.pi * np.arange(9) / 9
+    psis = 4.0 * np.pi * np.arange(15) / 15
+    grids = np.meshgrid(phis, np.arccos(cosines), psis, indexing="ij")
+    out["euler"] = (np.stack([g.ravel() for g in grids], axis=1),
+                    np.broadcast_to(gw[None, :, None] / (2.0 * 9 * 15),
+                                    grids[0].shape).ravel())
+    return out
+
+
+def _library_rules(hbar):
+    return {
+        "gauss_hermite": gauss_hermite(30, hbar),
+        "mu": complex_gaussian(9, hbar, "mu"),
+        "nu": complex_gaussian(7, hbar, "nu"),
+        "disk": disk_rule(10, 21, 1.5),
+        "euler": euler_quadrature(9, 5, 15),
+    }
+
+
+def _assert_match_reference(rules, hbar):
+    reference = _reference_rules(hbar)
+    assert rules.keys() == reference.keys()
+    for name, rule in rules.items():
+        nodes, weights = reference[name]
+        assert rule.nodes.tobytes() == nodes.tobytes(), name
+        assert rule.weights.tobytes() == weights.tobytes(), name
+
+
+def _clear_node_tables():
+    quadrature._hermite_table.cache_clear()
+    quadrature._legendre_table.cache_clear()
+    quadrature._jacobi_table.cache_clear()
+
+
+HBAR_SEQUENCE = (0.3, 1.0, 0.3, 2.0)
+
+
+def test_shared_node_tables_match_fresh_solves():
+    _clear_node_tables()
+    _assert_match_reference(_library_rules(0.3), 0.3)  # cold
+    _assert_match_reference(_library_rules(0.3), 0.3)  # warm
+    for hbar in HBAR_SEQUENCE:
+        _assert_match_reference(_library_rules(hbar), hbar)
+    assert quadrature._hermite_table.cache_info().hits > 0
+
+
+def test_shared_node_tables_match_from_two_threads():
+    _clear_node_tables()
+    start = threading.Barrier(2, timeout=30)
+
+    def build_all():
+        start.wait()
+        return [(hbar, _library_rules(hbar)) for hbar in HBAR_SEQUENCE]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(build_all) for _ in range(2)]
+        results = [f.result(timeout=60) for f in futures]
+    for built in results:
+        for hbar, rules in built:
+            _assert_match_reference(rules, hbar)
+
+
+def test_rule_arrays_reject_writes():
+    for rule in _library_rules(0.3).values():
+        for array in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+    for x, w in (quadrature._hermite_table(30), quadrature._legendre_table(5),
+                 quadrature._jacobi_table(10, 1.5)):
+        for array in (x, w):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+    _assert_match_reference(_library_rules(0.3), 0.3)
+
+
+def test_import_does_not_load_scipy():
+    # scipy only supplies the Jacobi roots, so it loads on the first disk_rule
+    code = (
+        "import sys\n"
+        "import holoquant.cli, holoquant\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, loaded\n"
+        "worst, tol = holoquant.cli._st_rule_masses()\n"
+        "assert worst <= tol, (worst, tol)\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(holoquant.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,18 @@ def test_coherent_state_reproduces_transform():
     f = random_state(12, h, seed=44)
     inner = np.vdot(psi_z.hermite_coefficients[:13], f.hermite_coefficients)
     assert inner == pytest.approx(transform_C(f, z), abs=1e-10)
+
+
+def test_coherent_state_refuses_to_truncate_silently():
+    # the kept share of ||ψ_z||^2 is a Poisson(|z|^2/2h) cdf; at z = 30 a
+    # 64-term expansion keeps 8.7e-117 of the norm (4π)^(-1/2) ≈ 0.282
+    with pytest.raises(ValueError, match=r"truncation (\d+) is enough") as err:
+        coherent_state(30.0, 1.0, 64)
+    enough = int(re.search(r"truncation (\d+) is enough", str(err.value)).group(1))
+    psi = coherent_state(30.0, 1.0, enough)
+    assert psi.norm_sq() == pytest.approx((4.0 * math.pi) ** -0.5, rel=1e-12)
+    with pytest.raises(ValueError, match="no truncation is enough"):
+        coherent_state(60.0, 1.0, 64)
 
 
 # ------------------------------------------------------------------- Husimi
