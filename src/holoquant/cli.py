@@ -8,8 +8,7 @@ as ``re+imi``, matrices as JSON objects ``{"n": N, "re": [...], "im":
 Identical arguments produce byte-identical output.
 
 Exit codes: 0 success, 1 self-test failure, 2 usage or domain error,
-3 output I/O error.  HOLOQUANT_THREADS caps the worker count used for
-grid fills; it never changes the computed bytes.
+3 output I/O error.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -277,8 +275,8 @@ def _matrix_json(matrix):
     return json.dumps(
         {
             "n": int(mat.shape[0]),
-            "re": [float(v) for v in mat.real.ravel()],
-            "im": [float(v) for v in mat.imag.ravel()],
+            "re": mat.real.ravel().tolist(),
+            "im": mat.imag.ravel().tolist(),
         },
         separators=(",", ":"),
     ) + "\n"
@@ -294,14 +292,16 @@ def load_matrix(text):
 
 
 def _grid_csv(xs, ps, values):
-    lines = ["x,p,value"]
-    values = np.asarray(values)
-    for i, x in enumerate(xs):
-        for j, p in enumerate(ps):
-            lines.append(
-                "%r,%r,%r" % (float(x), float(p), float(values[i, j]))
-            )
-    return "\n".join(lines) + "\n"
+    # Python float reprs, each axis value formatted once; numpy's own
+    # float formatting writes exponents differently
+    values = np.asarray(values, dtype=float)
+    cells = [repr(p) + "," for p in np.asarray(ps, dtype=float).tolist()]
+    rows = ["x,p,value\n"]
+    for i, x in enumerate(np.asarray(xs, dtype=float).tolist()):
+        head = repr(x) + ","
+        rows.append("".join([head + p + repr(v) + "\n" for p, v in
+                             zip(cells, values[i].tolist(), strict=True)]))
+    return "".join(rows)
 
 
 def _write_text(text, path):
@@ -329,31 +329,11 @@ def emit(payload, config):
     return text
 
 
-def _worker_count():
-    raw = os.environ.get("HOLOQUANT_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError("HOLOQUANT_THREADS must be an integer, got %r" % raw)
-    return max(1, count)
-
-
 def _husimi_grid(psi, xs, ps):
     grid = xs[:, None] + 1j * ps[None, :]
     if grid.size == 0:
         return np.zeros(grid.shape, dtype=float)
-    workers = _worker_count()
-    if workers == 1 or len(xs) < 2:
-        return husimi(psi, grid)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(np.arange(len(xs)), min(workers, len(xs)))
-    out = np.empty(grid.shape, dtype=float)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(lambda rows: husimi(psi, grid[rows]), chunks)
-        for rows, vals in zip(chunks, results):
-            out[rows] = vals
-    return out
+    return husimi(psi, grid)
 
 
 # -------------------------------------------------------------- subcommands

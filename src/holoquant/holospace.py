@@ -98,9 +98,12 @@ def monomial_norms(space: SpaceSpec, count: int) -> np.ndarray:
         raise ValueError("count must be positive")
     out = np.empty(count)
     if space.kind == "segal-bargmann":
-        out[0] = 1.0
+        # Python floats turn inf on overflow without a warning
+        scale, value = float(space.scale), 1.0
+        out[0] = value
         for n in range(1, count):
-            out[n] = out[n - 1] * n * space.scale
+            value = value * n * scale
+            out[n] = value
     elif space.kind == "bergman":
         out[:] = math.pi / np.arange(1, count + 1)
     elif space.kind == "weighted-bergman":
@@ -110,6 +113,16 @@ def monomial_norms(space: SpaceSpec, count: int) -> np.ndarray:
             out[n] = out[n - 1] * n / (n + a + 1.0)
     else:
         out[:] = 2.0 * math.pi
+    # the running products can leave the float range (n! t^n passes 1.8e308
+    # at n = 171 when t = 1); norms and inner products built on an infinite
+    # or zero entry come out NaN or infinite, so refuse them.  Every factor
+    # is positive, so such an entry carries through to the last one.
+    if not 0.0 < out[-1] < math.inf:
+        bad = ~np.isfinite(out) | (out == 0.0)
+        raise ValueError(
+            "squared monomial norms leave the float range: at most %d "
+            "coefficients are representable in this space, %d requested"
+            % (int(np.argmax(bad)), count))
     return out
 
 

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from holoquant.cli import (
     RunConfig,
     SELFTESTS,
+    _grid_csv,
+    _matrix_json,
     emit,
     load_matrix,
     parse_sb_symbol,
@@ -187,14 +189,78 @@ def test_husimi_rejects_zero_vector():
 
 
 def test_thread_env_does_not_change_bytes(monkeypatch):
-    argv = ["husimi", "--coefficients", "1,0:1,0.5", "--hbar", "0.8",
-            "--x-count", "7", "--p-count", "5"]
     monkeypatch.delenv("HOLOQUANT_THREADS", raising=False)
-    _, base, _ = capture(argv)
-    for workers in ("2", "3", "8"):
-        monkeypatch.setenv("HOLOQUANT_THREADS", workers)
-        _, out, _ = capture(argv)
-        assert out == base
+    small = ["husimi", "--coefficients", "1,0:1,0.5", "--hbar", "0.8",
+             "--x-count", "7", "--p-count", "5"]
+    # default 31x31 grid, degree-20 state
+    default = ["husimi", "--coefficients", ",".join(
+        "%r:%r" % (1.0 / (n + 1), 0.1 * (n % 3)) for n in range(21))]
+    for argv, cells in ((small, 35), (default, 961)):
+        _, base, _ = capture(argv)
+        assert base.count("\n") == 1 + cells
+        for workers in ("2", "3", "8"):
+            monkeypatch.setenv("HOLOQUANT_THREADS", workers)
+            _, out, _ = capture(argv)
+            assert out == base
+        monkeypatch.delenv("HOLOQUANT_THREADS")
+
+
+def reference_grid_csv(xs, ps, values):
+    """Per-cell formatter the renderer must match byte for byte."""
+    lines = ["x,p,value"]
+    values = np.asarray(values)
+    for i, x in enumerate(xs):
+        for j, p in enumerate(ps):
+            lines.append(
+                "%r,%r,%r" % (float(x), float(p), float(values[i, j]))
+            )
+    return "\n".join(lines) + "\n"
+
+
+def reference_matrix_json(matrix):
+    """Per-element float() encoder the renderer must match byte for byte."""
+    mat = np.asarray(matrix, dtype=complex)
+    return json.dumps(
+        {
+            "n": int(mat.shape[0]),
+            "re": [float(v) for v in mat.real.ravel()],
+            "im": [float(v) for v in mat.imag.ravel()],
+        },
+        separators=(",", ":"),
+    ) + "\n"
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2]
+
+
+@pytest.mark.parametrize("n_x, n_p", [(0, 5), (5, 0), (1, 1), (3, 801)])
+def test_grid_csv_matches_reference(n_x, n_p):
+    rng = np.random.default_rng(n_x * 1000 + n_p)
+    xs = np.linspace(-2.5, 3.0, n_x)
+    ps = np.linspace(-1e-5, 7.0, n_p)
+    values = rng.random((n_x, n_p)) * 10.0 ** rng.integers(-20, 20, (n_x, n_p))
+    flat = values.ravel()
+    flat[:len(EDGE_VALUES)] = EDGE_VALUES[:flat.size]
+    assert _grid_csv(xs, ps, values) == reference_grid_csv(xs, ps, values)
+
+
+def test_grid_csv_edge_values_match_reference():
+    axis = np.array(EDGE_VALUES)
+    values = np.outer(axis, axis[::-1])
+    values[0] = EDGE_VALUES
+    assert _grid_csv(axis, axis, values) == \
+        reference_grid_csv(axis, axis, values)
+
+
+def test_matrix_json_matches_reference():
+    mat = np.array([
+        [-0.0, complex(math.nan, -0.0), complex(math.inf, 1e16)],
+        [complex(-math.inf, math.nan), 5e-324, complex(1e-5, 0.1 + 0.2)],
+        [0.1 + 0.2, -1e16, complex(0.0, math.inf)],
+    ])
+    text = _matrix_json(mat)
+    assert text == reference_matrix_json(mat)
+    assert "NaN" in text and "Infinity" in text and "-0.0" in text
 
 
 def test_emit_rejects_other_payloads():

@@ -315,6 +315,26 @@ def test_translate_two_dimensional_norm():
     assert g.norm_sq() == pytest.approx(f.norm_sq(), rel=1e-10)
 
 
+def test_translate_far_norm_raises_instead_of_nan():
+    # |a|^2/t = 9 widens F to 225 coefficients; n! t^n overflows from n = 171
+    f = HoloFunction(np.array([1.0, 0.5, 0.25]), SB1)
+    g = translate(3.0, f)
+    with pytest.raises(ValueError, match="at most 171 coefficients"):
+        g.norm_sq()
+
+
+def test_monomial_norms_refuse_float_range():
+    expect = [1.0]
+    for n in range(1, 171):
+        expect.append(expect[-1] * n * 1.0)
+    assert monomial_norms(SB1, 171).tolist() == expect
+    with pytest.raises(ValueError, match="at most 171 coefficients"):
+        monomial_norms(SB1, 172)
+    # small scales underflow to zero instead
+    with pytest.raises(ValueError, match="representable"):
+        monomial_norms(SpaceSpec.segal_bargmann(1e-6), 120)
+
+
 def test_translate_requires_gaussian_space():
     f = random_poly(BERGMAN, 3)
     with pytest.raises(ValueError):
