@@ -14,7 +14,9 @@ The package is organized bottom-up:
   operators, and the bridges between them.
 * ``su2``: irreducible representations, characters, the heat kernel, and the
   analogous transform on the special unitary group.
-* ``cli``: command-line front end and the self-test registry.
+* ``cli``: command-line front end.
+* ``invariants``: the self-test registry that ``holoquant selftest`` and the
+  acceptance suite both run; loaded only when one of them asks for it.
 """
 
 from .fock import (

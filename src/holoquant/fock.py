@@ -150,8 +150,14 @@ def hermite_table(nmax: int, x, scale: float = 1.0) -> np.ndarray:
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     x = np.asarray(x, dtype=float)
+    first = (math.pi * scale) ** -0.25 * np.exp(-x * x / (2.0 * scale))
+    return _hermite_rows(first, x, scale, nmax)
+
+
+def _hermite_rows(first, x: np.ndarray, scale: float, nmax: int) -> np.ndarray:
+    """Rows 0..nmax of the module docstring's recurrence, from row ``first``."""
     out = np.empty((nmax + 1,) + x.shape)
-    out[0] = (math.pi * scale) ** -0.25 * np.exp(-x * x / (2.0 * scale))
+    out[0] = first
     if nmax >= 1:
         out[1] = math.sqrt(2.0 / scale) * x * out[0]
     for n in range(1, nmax):

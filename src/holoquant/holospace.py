@@ -126,6 +126,17 @@ def monomial_norms(space: SpaceSpec, count: int) -> np.ndarray:
     return out
 
 
+def _orthonormal_powers(first, z, step: float, count: int) -> np.ndarray:
+    """Rows first * z^n / sqrt(n! step^n), n < count, as a running product."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty((count,) + z.shape, dtype=complex)
+    out[0] = first
+    del first  # a caller's temporary row (a whole Husimi grid) is freed here
+    for n in range(1, count):
+        out[n] = out[n - 1] * z / math.sqrt(step * n)
+    return out
+
+
 def _check_in_domain(space: SpaceSpec, *points):
     # boundary points are admitted (the Hardy inner product lives there);
     # kernel evaluation separately requires |z conj(w)| < 1

@@ -43,7 +43,7 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .fock import FockOperator, HermiteBasisSpec, position_momentum
-from .holospace import HoloFunction
+from .holospace import HoloFunction, _orthonormal_powers
 from .quadrature import QuadratureRule, gauss_hermite
 from .transform import WaveFunction, husimi
 
@@ -386,10 +386,7 @@ def toeplitz_quadrature(phi: SBSymbol, truncation: int, scale: float,
                         rule: QuadratureRule) -> np.ndarray:
     """Cross-check path: entries <u_m, phi u_n> by Gaussian quadrature."""
     nodes = np.asarray(rule.nodes, dtype=complex)
-    table = np.empty((truncation, len(nodes)), dtype=complex)
-    table[0] = 1.0
-    for n in range(1, truncation):
-        table[n] = table[n - 1] * nodes / math.sqrt(scale * n)
+    table = _orthonormal_powers(1.0, nodes, scale, truncation)
     weighted = table.conj() * (rule.weights * phi.evaluate(nodes))
     return weighted @ table.T
 
@@ -508,10 +505,7 @@ def toeplitz_coherent_form(phi: SBSymbol, f: HoloFunction, g: HoloFunction,
     quad_route = complex(np.sum(
         rule.weights * np.conj(f(nodes)) * phi_vals * g(nodes)))
 
-    table = np.empty((size, len(nodes)), dtype=complex)
-    table[0] = 1.0
-    for n in range(1, size):
-        table[n] = table[n - 1] * nodes / math.sqrt(t * n)
+    table = _orthonormal_powers(1.0, nodes, t, size)
     f_nodes = a_vec @ table
     g_nodes = b_vec @ table
     coherent_route = complex(np.sum(

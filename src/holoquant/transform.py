@@ -44,8 +44,8 @@ import math
 
 import numpy as np
 
-from .fock import hermite_table
-from .holospace import HoloFunction, SpaceSpec
+from .fock import _hermite_rows, hermite_table
+from .holospace import HoloFunction, SpaceSpec, _orthonormal_powers
 from .quadrature import QuadratureRule, gauss_hermite
 
 __all__ = [
@@ -214,13 +214,7 @@ def transform_C(psi: WaveFunction, z, n_nodes: int = 110):
     x = rule.nodes
     c = psi.hermite_coefficients
     # polynomial part p_n = e_n * exp(x^2/2h): same recurrence, Gaussian-free seed
-    table = np.empty((len(c), len(x)))
-    table[0] = (math.pi * h) ** -0.25
-    if len(c) > 1:
-        table[1] = math.sqrt(2.0 / h) * x * table[0]
-    for n in range(1, len(c) - 1):
-        table[n + 1] = (math.sqrt(2.0 / (h * (n + 1))) * x * table[n]
-                        - math.sqrt(n / (n + 1)) * table[n - 1])
+    table = _hermite_rows((math.pi * h) ** -0.25, x, h, len(c) - 1)
     poly = np.tensordot(c, table, axes=(0, 0))
     kern = np.exp(z[..., None] * x / h)
     prefactor = np.exp(-z**2 / (2.0 * h)) * math.sqrt(math.pi * h) \
@@ -241,11 +235,8 @@ def transform_C_from_A(psi: WaveFunction, z, rule: QuadratureRule):
 def _c_transform_of_basis(count: int, z, scale: float) -> np.ndarray:
     """(C e_n)(z) for n < count: (4 pi h)^(-1/4) e^{-z^2/4h} (z/sqrt2)^n/sqrt(h^n n!)."""
     z = np.asarray(z, dtype=complex)
-    out = np.empty((count,) + z.shape, dtype=complex)
-    out[0] = (4.0 * math.pi * scale) ** -0.25 * np.exp(-z**2 / (4.0 * scale))
-    for n in range(1, count):
-        out[n] = out[n - 1] * z / math.sqrt(2.0 * scale * n)
-    return out
+    return _orthonormal_powers((4.0 * math.pi * scale) ** -0.25
+                               * np.exp(-z**2 / (4.0 * scale)), z, 2.0 * scale, count)
 
 
 def invert_C(f_values, x: float, rule: QuadratureRule):

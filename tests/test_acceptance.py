@@ -1,8 +1,10 @@
 """End-to-end acceptance checks, one per release criterion.
 
 Each test prints a single ``criterion NN PASS/FAIL`` line with the
-measured residual and the pinned tolerance, then asserts.  Two checks
-carry extra printed context: the translation phase law shows the
+measured residual and the pinned tolerance, then asserts.  Criteria 01,
+05, 06 and 07 run their entries of the self-test registry
+(``holoquant.invariants``), so each of those invariants is written once.
+Two checks carry extra printed context: the translation phase law shows the
 residual under both sign conventions for its scalar factor, and the
 bracket-correspondence check shows both operator sides where the
 correspondence genuinely breaks.
@@ -16,20 +18,21 @@ import numpy as np
 import pytest
 
 from holoquant.cli import run
-from holoquant.fock import HermiteBasisSpec, commutator, ladder, \
-    position_momentum
+from holoquant.fock import HermiteBasisSpec, position_momentum
 from holoquant.holospace import HoloFunction, SpaceSpec, kernel, \
     kernel_from_basis, reproduce, translate
+from holoquant.invariants import SELFTESTS
 from holoquant.quadrature import complex_gaussian, disk_rule, gauss_hermite, \
     su2_class_rule
-from holoquant.quantize import OrderingScheme, PhaseSymbol, SBSymbol, \
-    antiwick_toeplitz_bridge, commutator_vs_poisson, exact_block_size, \
-    heat_smooth, husimi_moment, quantize, toeplitz, weyl_moment
+from holoquant.quantize import OrderingScheme, PhaseSymbol, \
+    commutator_vs_poisson, heat_smooth, husimi_moment, weyl_moment
 from holoquant.su2 import GroupElement, PeterWeylCoeffs, character, \
     euler_quadrature, heat_kernel, rep_matrix, transform_group, \
     transform_group_quadrature
 from holoquant.transform import WaveFunction, husimi, husimi_mass, invert_C, \
     transform_A, transform_C
+
+REGISTRY = dict(SELFTESTS)
 
 
 def report(number, name, residual, tol, extra=""):
@@ -48,17 +51,8 @@ def normalized(rng, size):
 
 
 def test_criterion_01_ccr_blocks():
-    worst = 0.0
-    for h in (0.5, 1.0, 2.0):
-        spec = HermiteBasisSpec(32, h)
-        x_op, p_op = position_momentum(spec)
-        low, raise_ = ladder(spec)
-        eye = np.eye(32)
-        gap = commutator(x_op, p_op).entries - 1j * h * eye
-        worst = max(worst, float(np.max(np.abs(gap[:31, :31]))))
-        gap = commutator(low, raise_).entries - h * eye
-        worst = max(worst, float(np.max(np.abs(gap[:31, :31]))))
-    assert report(1, "ccr truncated blocks", worst, 1e-12) <= 1e-12
+    residual, tol = REGISTRY["fock.ccr-leading-block"]()
+    assert report(1, "ccr truncated blocks", residual, tol) <= tol
 
 
 def test_criterion_02_kernels_and_reproduction():
@@ -130,70 +124,21 @@ def test_criterion_04_inversion():
 
 
 def test_criterion_05_ordering_table():
-    worst = 0.0
-    for h in (0.5, 1.0):
-        spec = HermiteBasisSpec(16, h)
-        x_op, p_op = position_momentum(spec)
-        eye = np.eye(16)
-        sym = PhaseSymbol({(2, 1): 1.0})
-        block = exact_block_size(16, sym)
-        got = quantize(OrderingScheme.WEYL, sym, spec).entries
-        want = (x_op @ x_op @ p_op + x_op @ p_op @ x_op
-                + p_op @ x_op @ x_op).entries / 3.0
-        worst = max(worst, float(np.max(np.abs(
-            (got - want)[:block, :block]))))
-        x_sq = PhaseSymbol({(2, 0): 1.0})
-        block = exact_block_size(16, x_sq)
-        xx = (x_op @ x_op).entries
-        got = quantize(OrderingScheme.WICK, x_sq, spec).entries
-        worst = max(worst, float(np.max(np.abs(
-            (got - (xx - 0.5 * h * eye))[:block, :block]))))
-        got = quantize(OrderingScheme.ANTI_WICK, x_sq, spec).entries
-        worst = max(worst, float(np.max(np.abs(
-            (got - (xx + 0.5 * h * eye))[:block, :block]))))
-        for n, m in ((1, 1), (2, 2), (3, 1), (1, 3)):
-            sym = PhaseSymbol({(n, m): 1.0})
-            block = exact_block_size(16, sym)
-            got = quantize(OrderingScheme.PDO_STANDARD, sym, spec).entries
-            want = np.eye(16)
-            for _ in range(n):
-                want = want @ x_op.entries
-            for _ in range(m):
-                want = want @ p_op.entries
-            worst = max(worst, float(np.max(np.abs(
-                (got - want)[:block, :block]))))
-    assert report(5, "ordering worked examples", worst, 1e-12) <= 1e-12
+    residual, tol = REGISTRY["quantize.ordering-examples"]()
+    assert report(5, "ordering worked examples", residual, tol) <= tol
 
 
 def test_criterion_06_heat_smoothing_bridge():
-    worst = 0.0
-    for h in (0.7, 1.3):
-        spec = HermiteBasisSpec(24, h)
-        for n in range(5):
-            for m in range(5 - n):
-                sym = PhaseSymbol({(n, m): 1.0})
-                block = exact_block_size(24, sym)
-                anti = quantize(OrderingScheme.ANTI_WICK, sym, spec).entries
-                smoothed = quantize(OrderingScheme.WEYL,
-                                    heat_smooth(sym, h), spec).entries
-                worst = max(worst, float(np.max(np.abs(
-                    (anti - smoothed)[:block, :block]))))
-    assert report(6, "anti-wick heat bridge", worst, 1e-11) <= 1e-11
+    residual, tol = REGISTRY["quantize.heat-bridge"]()
+    assert report(6, "anti-wick heat bridge", residual, tol) <= tol
 
 
 def test_criterion_07_toeplitz_bridge():
-    spec = HermiteBasisSpec(24, 0.8)
-    worst = 0.0
-    for n in range(5):
-        for m in range(5 - n):
-            worst = max(worst, antiwick_toeplitz_bridge(
-                PhaseSymbol({(n, m): 1.0}), spec))
-    t = 0.7
-    diag_op = toeplitz(SBSymbol({(1, 1): 1.0}), 16, t).entries
-    want = np.diag([t * (n + 1) for n in range(15)] + [0.0])
-    diag_res = float(np.max(np.abs(diag_op - want)))
-    worst = max(worst, diag_res)
-    assert report(7, "toeplitz bridge and diagonal", worst, 1e-9) <= 1e-9
+    bridge, bridge_tol = REGISTRY["quantize.toeplitz-bridge"]()
+    diag, diag_tol = REGISTRY["quantize.toeplitz-diagonal"]()
+    report(7, "toeplitz bridge and diagonal", max(bridge, diag), bridge_tol)
+    assert bridge <= bridge_tol
+    assert diag <= diag_tol
 
 
 def test_criterion_08_husimi():

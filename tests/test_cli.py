@@ -11,8 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoquant.cli import (
-    RunConfig,
-    SELFTESTS,
     _grid_csv,
     _matrix_json,
     emit,
@@ -23,6 +21,7 @@ from holoquant.cli import (
     run,
 )
 from holoquant.fock import HermiteBasisSpec
+from holoquant.invariants import SELFTESTS
 from holoquant.quantize import OrderingScheme, quantize
 from holoquant.transform import WaveFunction, husimi
 
@@ -146,8 +145,7 @@ def test_matrix_json_round_trip(tmp_path):
     spec = HermiteBasisSpec(6, 1.0)
     entries = quantize(OrderingScheme.WICK, parse_symbol("x^2"), spec).entries
     path = tmp_path / "mat.json"
-    config = RunConfig(output_path=str(path))
-    text = emit(entries, config)
+    text = emit(entries, str(path))
     assert path.read_text() == text
     data = json.loads(text)
     assert data["n"] == 6
@@ -265,18 +263,7 @@ def test_matrix_json_matches_reference():
 
 def test_emit_rejects_other_payloads():
     with pytest.raises(ValueError, match="matrix or"):
-        emit({"not": "supported"}, RunConfig())
-
-
-def test_run_config_validation():
-    with pytest.raises(ValueError, match="hbar"):
-        RunConfig(hbar=0.0)
-    with pytest.raises(ValueError, match="truncation"):
-        RunConfig(truncation=1)
-    with pytest.raises(ValueError, match="orders"):
-        RunConfig(orders=(4, 0))
-    with pytest.raises(ValueError, match="format"):
-        RunConfig(output_format="yaml")
+        emit({"not": "supported"}, None)
 
 
 # ---------------------------------------------------------------- commands
@@ -355,6 +342,26 @@ def test_unknown_command_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--t", "kernel --space bergman --t 0 --z 0,0 --w 0,0"),
+    ("--t", "kernel --space segal-bargmann --t -1 --z 0,0 --w 0,0"),
+    ("--hbar", "transform --form A --coefficients 1 --hbar 0 --z 0,0"),
+    ("--nodes", "transform --form A --coefficients 1 --nodes 0 --z 0,0"),
+    ("--hbar", "husimi --coefficients 1 --hbar -0.5"),
+    ("--hbar", "quantize --scheme weyl --symbol x --hbar 0"),
+    ("--truncation", "quantize --scheme weyl --symbol x --truncation 1"),
+    ("--t", "toeplitz --symbol z --t 0"),
+    ("--truncation", "toeplitz --symbol z --truncation 0"),
+    ("--t", "su2-heat --t 0 --theta 0.9"),
+    ("--hbar", "su2-transform --hbar 0 --degree 1 --theta 0.4"),
+    ("--orders", "su2-transform --hbar 1 --degree 1 --theta 0 --orders 4,0,4"),
+])
+def test_out_of_range_option_exits_2(option, argv):
+    code, out, err = capture(argv.split())
+    assert code == 2 and out == ""
+    assert option in err
+
+
 def test_domain_error_exits_2():
     code, _, err = capture(["transform", "--form", "A", "--coefficients", "1",
                             "--hbar", "-1", "--z", "0,0"])
@@ -384,14 +391,34 @@ def test_help_exits_0():
 
 # ---------------------------------------------------------------- selftest
 
+REGISTRY_NAMES = (
+    "quadrature.gauss-hermite-moments", "quadrature.rule-masses",
+    "quadrature.class-rule-orthogonality", "fock.ccr-leading-block",
+    "fock.ladder-identities", "fock.weighted-basis-orthonormal",
+    "holospace.kernel-series", "holospace.reproducing-identity",
+    "holospace.pointwise-bound", "holospace.monomial-norms",
+    "holospace.translation-laws", "holospace.disk-action-isometry",
+    "holospace.equivalence-product", "holospace.equivalence-isometry",
+    "transform.gram-identity", "transform.ground-state-image",
+    "transform.pointwise-link", "transform.b-two-routes",
+    "transform.inversion-roundtrip", "transform.coherent-overlap",
+    "transform.husimi-mass", "transform.husimi-sup-bound",
+    "transform.resolution-identity", "quantize.poisson-algebra",
+    "quantize.schemes-agree-affine", "quantize.ordering-examples",
+    "quantize.pdo-asymmetry", "quantize.self-adjointness",
+    "quantize.heat-bridge", "quantize.toeplitz-bridge",
+    "quantize.toeplitz-diagonal", "quantize.moment-bridge",
+    "quantize.coherent-form-routes", "su2.closure-and-polar",
+    "su2.rep-homomorphism", "su2.character-laws", "su2.schur-orthogonality",
+    "su2.heat-mass", "su2.heat-semigroup", "su2.transform-dual-route",
+    "cli.symbol-round-trip", "cli.emit-determinism",
+)
+
+
 def test_selftest_list_names_every_module():
     code, out, _ = capture(["selftest", "--list"])
     assert code == 0
-    names = out.strip().split("\n")
-    assert names == [name for name, _ in SELFTESTS]
-    prefixes = {name.split(".")[0] for name in names}
-    assert prefixes == {"quadrature", "fock", "holospace", "transform",
-                        "quantize", "su2", "cli"}
+    assert tuple(out.strip().split("\n")) == REGISTRY_NAMES
 
 
 def test_selftest_registry_entries_return_pairs():

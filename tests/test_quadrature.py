@@ -269,13 +269,16 @@ def test_rule_arrays_reject_writes():
 
 
 def test_import_does_not_load_scipy():
-    # scipy only supplies the Jacobi roots, so it loads on the first disk_rule
+    # scipy only supplies the Jacobi roots, so it loads on the first
+    # disk_rule; the self-test registry loads only for the selftest command
     code = (
         "import sys\n"
         "import holoquant.cli, holoquant\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "assert not loaded, loaded\n"
-        "worst, tol = holoquant.cli._st_rule_masses()\n"
+        "assert 'holoquant.invariants' not in sys.modules\n"
+        "import holoquant.invariants\n"
+        "worst, tol = holoquant.invariants._st_rule_masses()\n"
         "assert worst <= tol, (worst, tol)\n"
         "assert 'scipy.special' in sys.modules\n"
     )

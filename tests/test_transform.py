@@ -4,10 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from holoquant.fock import HermiteBasisSpec, hermite_eval, position_momentum
+from holoquant.fock import HermiteBasisSpec, hermite_eval, hermite_table, \
+    position_momentum
 from holoquant.holospace import kernel as holo_kernel
 from holoquant.holospace import SpaceSpec
 from holoquant.quadrature import complex_gaussian, gauss_hermite
+from holoquant.quantize import SBSymbol, toeplitz_quadrature
 from holoquant.transform import (
     WaveFunction,
     coherent_overlap,
@@ -422,3 +424,64 @@ def test_projection_kernel_from_transform_images():
         total += img(z) * np.conj(img(w))
     assert total == pytest.approx(holo_kernel(SpaceSpec.segal_bargmann(h), z, w),
                                   abs=1e-12)
+
+
+
+# -------------------------------------------------- shared recurrence tables
+
+def hermite_loop(first, x, h, count):
+    """The three-term loop as hermite_table and transform_C each wrote it."""
+    table = np.empty((count,) + x.shape)
+    table[0] = first
+    if count > 1:
+        table[1] = math.sqrt(2.0 / h) * x * table[0]
+    for n in range(1, count - 1):
+        table[n + 1] = (math.sqrt(2.0 / (h * (n + 1))) * x * table[n]
+                        - math.sqrt(n / (n + 1)) * table[n - 1])
+    return table
+
+
+def product_loop(first, z, step, count):
+    """The running product as transform and quantize each wrote it."""
+    table = np.empty((count,) + z.shape, dtype=complex)
+    table[0] = first
+    for n in range(1, count):
+        table[n] = table[n - 1] * z / math.sqrt(step * n)
+    return table
+
+
+@pytest.mark.parametrize("h", [0.3, 0.7, 1.0, 1.9, 4.0])
+def test_shared_recurrences_keep_bytes(h):
+    grid = np.linspace(-3.0, 3.0, 7)[:, None] + 1j * np.linspace(-2, 2.5, 9)
+    zs, w = np.array([0.3 + 0.2j, -1.1 + 0.7j, 2.0]), np.asarray(0.6 - 0.4j)
+    line, plane = gauss_hermite(110, h / 2.0), complex_gaussian(30, h)
+    nodes = plane.nodes.astype(complex)
+    phi = SBSymbol({(1, 1): 1.0, (0, 2): 0.5})
+    x = grid.real[:, 0]
+    first = (math.pi * h) ** -0.25 * np.exp(-x * x / (2.0 * h))
+
+    def c_basis(z, count):
+        first = (4.0 * math.pi * h) ** -0.25 * np.exp(-z ** 2 / (4.0 * h))
+        return product_loop(first, z, 2.0 * h, count)
+
+    for count in (1, 2, 5, 21, 40):
+        assert hermite_table(count - 1, x, h).tobytes() == \
+            hermite_loop(first, x, h, count).tobytes()
+        psi = random_state(count - 1, h, seed=count)
+        c = psi.hermite_coefficients
+        poly = np.tensordot(c, hermite_loop((math.pi * h) ** -0.25,
+                                            line.nodes, h, count), 1)
+        want = np.exp(-zs ** 2 / (2.0 * h)) * math.sqrt(math.pi * h) \
+            / math.sqrt(2.0 * math.pi * h) \
+            * ((np.exp(zs[:, None] * line.nodes / h) * poly) @ line.weights)
+        assert transform_C(psi, zs).tobytes() == want.tobytes()
+        table = c_basis(grid.real - 1j * grid.imag, count)
+        want = np.abs(np.tensordot(c, table, 1)) ** 2 \
+            * (math.pi * h) ** -0.5 * np.exp(-grid.imag ** 2 / h)
+        assert husimi(psi, grid).tobytes() == want.tobytes()
+        assert coherent_state(complex(w), h).hermite_coefficients.tobytes() \
+            == np.conj(c_basis(w, 64)).tobytes()
+        table = product_loop(1.0, nodes, h, count)
+        want = (table.conj() * (plane.weights * phi.evaluate(nodes))) @ table.T
+        assert toeplitz_quadrature(phi, count, h, plane).tobytes() == \
+            want.tobytes()
