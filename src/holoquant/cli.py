@@ -226,12 +226,14 @@ def _parse_coefficients(text):
 
 
 def _above(convert, bound):
-    """argparse type for ``convert(text) > bound``; refusals name the option."""
+    """argparse type for a finite ``convert(text) > bound``; refusals name
+    the option."""
     def check(text):
         value = convert(text)
-        if value <= bound:
+        # NaN fails every comparison, so test for the accepted range
+        if not (math.isfinite(value) and value > bound):
             raise argparse.ArgumentTypeError(
-                "must be greater than %r, got %r" % (bound, text))
+                "must be a finite number greater than %r, got %r" % (bound, text))
         return value
     # argparse reports unparsable text as "invalid <type name> value"
     check.__name__ = convert.__name__

@@ -26,10 +26,12 @@ can be shared freely across threads.
 The node tables behind the rules (Hermite, Legendre and Jacobi roots with their
 weights, found by the Golub-Welsch eigenproblem) are solved once per process
 for each order and shared read-only.  The tables depend only on the order (and
-the Jacobi exponent), never on ``hbar`` or ``scale``.  Every constructor call
-still scales the nodes itself and builds and validates a fresh
-``QuadratureRule``.  scipy supplies the Jacobi roots and is imported on the
-first ``disk_rule`` call, not with this module.
+the Jacobi exponent), never on ``hbar`` or ``scale``.  ``gauss_hermite`` also
+keeps each rule it builds, per (n, hbar), and returns that same immutable rule
+on a repeated call; the other constructors scale the nodes themselves and build
+and validate a fresh ``QuadratureRule`` on every call.  scipy supplies the
+Jacobi roots and is imported on the first ``disk_rule`` call, not with this
+module.
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ __all__ = [
 # sweeps orders from growing the tables without limit.  The caches are typed so
 # that an order numpy rejects (a float) never hits an int order's entry.
 _TABLE_CACHE_SIZE = 128
+
+
+def _finite_positive(value, name):
+    """Raise ValueError unless ``value`` is a finite number above zero."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError("%s must be finite and positive, got %r" % (name, value))
 
 
 def _read_only(nodes: np.ndarray, weights: np.ndarray):
@@ -133,12 +141,20 @@ def gauss_hermite(n: int, hbar: float = 1.0) -> QuadratureRule:
 
     Nodes are the rescaled roots of the n-th Hermite polynomial (computed by
     the symmetric-tridiagonal eigenvalue method), so polynomials of degree
-    <= 2n - 1 are integrated exactly.  Total weight is 1.
+    <= 2n - 1 are integrated exactly.  Total weight is 1.  Repeated calls
+    with the same arguments return the same immutable rule.
     """
     if n < 1:
         raise ValueError("need at least one node")
-    if hbar <= 0.0:
-        raise ValueError("hbar must be positive")
+    _finite_positive(hbar, "hbar")
+    # float() lets a NumPy scalar or 0-d array share the Python float's
+    # entry; the scaled nodes are the same either way
+    return _gauss_hermite_rule(n, float(hbar))
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
+def _gauss_hermite_rule(n, hbar):
+    """The ``gauss_hermite`` rule, built once per (n, hbar) and shared."""
     x, w = _hermite_table(n)
     return QuadratureRule(
         nodes=x * math.sqrt(2.0 * hbar),

@@ -10,16 +10,26 @@ complexification SL(2, C); the heat kernel series then converges
 thanks to the sub-Gaussian decay of its coefficients, and the required
 truncation is controlled through the hyperbolic part of the polar
 decomposition.
+
+Representation entries are binomial sums.  ``_rep_entries`` builds each
+column's terms for a whole batch of elements in a few array products and
+adds them to +0.0 in a fixed order (see its docstring); the tests hold
+its bytes to those of a scalar loop over every term.  The convolution
+route synthesizes its integrand over the quadrature nodes in chunks of
+``_NODE_CHUNK``, which bounds the entry tables; the heat kernel values and
+the final weighted sum still run over all nodes at once, because summing
+per chunk would change the rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureRule, _legendre_table
+from .quadrature import QuadratureRule, _finite_positive, _legendre_table
 
 # Largest doubled degree accepted by rep_matrix.  The entries are not at
 # full precision up to this cap: the unitarity residual max|D^H D - I|
@@ -29,6 +39,12 @@ from .quadrature import QuadratureRule, _legendre_table
 # binomial sum in _rep_entries, not from the binomials themselves: up to
 # comb(60, 30) ~ 1.2e17 each one rounds to a float within 1.1e-16.
 MAX_DOUBLED_DEGREE = 60
+
+# transform_group_quadrature synthesizes f on this many nodes at a time, so
+# its representation tables grow with the degree but not with the rule.
+# Each node's value is computed alone, so the chunk size never shows in
+# the output bytes.
+_NODE_CHUNK = 4096
 
 _DET_TOL = 1e-12
 _UNITARY_TOL = 1e-12
@@ -192,6 +208,22 @@ def _powers(values, top):
     return out
 
 
+# rows 0..MAX_DOUBLED_DEGREE cover rep_matrix; the bound stops a synthesis
+# sweeping ever larger degrees from growing the cache without limit
+@functools.lru_cache(maxsize=256)
+def _binomials(n):
+    """C(n, 0..n) as complex numbers C + 0j, read-only.
+
+    That is the operand a Python int becomes when it multiplies a
+    complex array: each integer rounded to the nearest float, which
+    matters past 2**53, where C(60, 30) already sits.
+    """
+    row = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    row = row.astype(complex)
+    row.setflags(write=False)
+    return row
+
+
 def _rep_entries(doubled, mats):
     """Representation matrices for a batch of group matrices.
 
@@ -200,6 +232,14 @@ def _rep_entries(doubled, mats):
     the action substitutes the transposed matrix into the arguments,
     which makes the assignment a homomorphism and restricts to the
     usual unitary representation on the 'su2' part.
+
+    Column j is the product of (a w1 + c w2)^(m-j) and (b w1 + d w2)^j,
+    expanded binomially.  Every term ((C(j,s) C(q,r) a^(q-r) c^r)
+    b^(j-s)) d^s, q = m - j, is formed in that grouping, and the entry
+    of w2-degree p adds its terms to +0.0 in ascending r, s = p - r.
+    The bytes depend on both orders, so a faster route that changes
+    either one (a Risbo recurrence, a d(theta) factorisation) also
+    changes the output.
     """
     m = doubled
     count = mats.shape[0]
@@ -207,15 +247,20 @@ def _rep_entries(doubled, mats):
     top_b = _powers(mats[:, 0, 1], m)
     bot_c = _powers(mats[:, 1, 0], m)
     bot_d = _powers(mats[:, 1, 1], m)
-    root = np.sqrt(np.array([float(math.comb(m, i)) for i in range(m + 1)]))
+    root = np.sqrt(_binomials(m).real)
     out = np.empty((count, m + 1, m + 1), dtype=complex)
     for j in range(m + 1):
         q = m - j
+        # left[r] = (C(q, r) a^(q-r)) c^r
+        left = _binomials(q)[:, None] * top_a[q::-1] * bot_c[: q + 1]
+        # terms[r, s] = ((C(j, s) left[r]) b^(j-s)) d^s; multiplying in
+        # place keeps that operand order and saves two temporaries
+        terms = _binomials(j)[:, None] * left[:, None, :]
+        terms *= top_b[j::-1]
+        terms *= bot_d[: j + 1]
         conv = np.zeros((m + 1, count), dtype=complex)
         for r in range(q + 1):
-            left = math.comb(q, r) * top_a[q - r] * bot_c[r]
-            for s in range(j + 1):
-                conv[r + s] += (math.comb(j, s) * left) * top_b[j - s] * bot_d[s]
+            conv[r : r + j + 1] += terms[r]
         out[:, :, j] = (conv * (root[j] / root)[:, None]).T
     return out
 
@@ -330,8 +375,7 @@ def heat_kernel(t, group_element, tol=1e-10, max_doubled_degree=240):
     complexification; convergence then costs more terms, governed by
     the polar radius of the argument.
     """
-    if t <= 0:
-        raise ValueError("time must be positive")
+    _finite_positive(t, "time")
     half = np.asarray([group_element.trace / 2.0], dtype=complex)
     radius = _kak_radius(group_element.matrix)
     value = _heat_series(t, half, radius, tol, max_doubled_degree)[0]
@@ -405,8 +449,7 @@ def transform_group(coeffs, group_element, hbar):
     is synthesized at ``group_element``.  For the normalized character
     of degree l this returns exp(-hbar l(l+1)/2) times the character.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    _finite_positive(hbar, "hbar")
     damped = tuple(
         math.exp(-hbar * k * (k + 2) / 8.0) * block
         for k, block in enumerate(coeffs.blocks)
@@ -425,8 +468,7 @@ def transform_group_quadrature(
     coefficient route requires the rule to resolve products up to the
     heat truncation plus the cutoff of f.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    _finite_positive(hbar, "hbar")
     angles = np.asarray(rule.nodes, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != 3:
         raise ValueError("rule nodes must be Euler angle triples")
@@ -442,12 +484,14 @@ def transform_group_quadrature(
     smax_sq = 0.5 * (frob + np.sqrt(np.maximum(frob * frob - 4.0, 0.0)))
     radius = 0.5 * float(np.log(np.maximum(smax_sq, 1.0)).max())
     kernel_vals = _heat_series(hbar, half_traces, radius, tol, max_doubled_degree)
+    blocks = [(k, b) for k, b in enumerate(coeffs.blocks) if np.any(b)]
     f_vals = np.zeros(mats.shape[0], dtype=complex)
-    for k, block in enumerate(coeffs.blocks):
-        if not np.any(block):
-            continue
-        entries = _rep_entries(k, mats)
-        f_vals += math.sqrt(k + 1) * np.einsum("ij,kij->k", block, entries)
+    for start in range(0, mats.shape[0], _NODE_CHUNK):
+        chunk = mats[start : start + _NODE_CHUNK]
+        part = f_vals[start : start + _NODE_CHUNK]  # a view: += fills f_vals
+        for k, block in blocks:
+            entries = _rep_entries(k, chunk)
+            part += math.sqrt(k + 1) * np.einsum("ij,kij->k", block, entries)
     return complex(np.sum(rule.weights * kernel_vals * f_vals))
 
 

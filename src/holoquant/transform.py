@@ -120,7 +120,10 @@ class WaveFunction:
             table = hermite_table(len(c) - 1, x, self.scale)
         else:
             table = _gaussian_weight_table(len(c) - 1, x, self.scale)
-        return np.tensordot(c, table, axes=(0, 0))
+        # the one dot call np.tensordot(c, table, axes=(0, 0)) makes, without
+        # its Python-level axis bookkeeping; same BLAS call, same bytes
+        flat = table.reshape(len(c), -1)
+        return np.dot(c.reshape(1, -1), flat).reshape(table.shape[1:])
 
 
 def _require(psi: WaveFunction, representation: str, op: str):
@@ -215,7 +218,9 @@ def transform_C(psi: WaveFunction, z, n_nodes: int = 110):
     c = psi.hermite_coefficients
     # polynomial part p_n = e_n * exp(x^2/2h): same recurrence, Gaussian-free seed
     table = _hermite_rows((math.pi * h) ** -0.25, x, h, len(c) - 1)
-    poly = np.tensordot(c, table, axes=(0, 0))
+    # tensordot's single dot call, as in WaveFunction.__call__
+    flat = table.reshape(len(c), -1)
+    poly = np.dot(c.reshape(1, -1), flat).reshape(table.shape[1:])
     kern = np.exp(z[..., None] * x / h)
     prefactor = np.exp(-z**2 / (2.0 * h)) * math.sqrt(math.pi * h) \
         / math.sqrt(2.0 * math.pi * h)

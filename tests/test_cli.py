@@ -355,6 +355,15 @@ def test_unknown_command_exits_2():
     ("--t", "su2-heat --t 0 --theta 0.9"),
     ("--hbar", "su2-transform --hbar 0 --degree 1 --theta 0.4"),
     ("--orders", "su2-transform --hbar 1 --degree 1 --theta 0 --orders 4,0,4"),
+    # NaN and inf pass a plain "<= 0" test
+    ("--t", "kernel --space segal-bargmann --t nan --z 0.1,0.2 --w 0.3,0"),
+    ("--t", "kernel --space segal-bargmann --t inf --z 0.1,0.2 --w 0.3,0"),
+    ("--hbar", "transform --form C --coefficients 1 --hbar nan --z 0.3,0.2"),
+    ("--hbar", "husimi --coefficients 1 --hbar inf"),
+    ("--hbar", "quantize --scheme weyl --symbol x --hbar nan"),
+    ("--t", "toeplitz --symbol z --t -inf"),
+    ("--t", "su2-heat --t nan --theta 0.9"),
+    ("--hbar", "su2-transform --hbar inf --degree 1 --theta 0.4"),
 ])
 def test_out_of_range_option_exits_2(option, argv):
     code, out, err = capture(argv.split())

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -132,8 +133,9 @@ def test_su2_class_rule_characters():
 def test_rules_reject_bad_input():
     with pytest.raises(ValueError):
         gauss_hermite(0)
-    with pytest.raises(ValueError):
-        gauss_hermite(4, hbar=-1.0)
+    for hbar in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            gauss_hermite(4, hbar=hbar)
     with pytest.raises(ValueError):
         complex_gaussian(4, weight="lebesgue")
     with pytest.raises(ValueError):
@@ -222,6 +224,7 @@ def _assert_match_reference(rules, hbar):
 
 
 def _clear_node_tables():
+    quadrature._gauss_hermite_rule.cache_clear()
     quadrature._hermite_table.cache_clear()
     quadrature._legendre_table.cache_clear()
     quadrature._jacobi_table.cache_clear()
@@ -266,6 +269,20 @@ def test_rule_arrays_reject_writes():
             with pytest.raises(ValueError):
                 array[0] = 0.0
     _assert_match_reference(_library_rules(0.3), 0.3)
+
+
+def test_gauss_hermite_rules_are_shared():
+    # the tracer of the benchmark wraps plain functions only
+    assert inspect.isfunction(quadrature.gauss_hermite)
+    rule = gauss_hermite(23, 0.45)
+    assert gauss_hermite(23, 0.45) is rule
+    assert gauss_hermite(23, np.float64(0.45)) is rule
+    x, w = hermgauss(23)
+    assert rule.nodes.tobytes() == (x * math.sqrt(2.0 * 0.45)).tobytes()
+    assert rule.weights.tobytes() == (w / math.sqrt(math.pi)).tobytes()
+    for array in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_import_does_not_load_scipy():

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holoquant import su2
 from holoquant.quadrature import gauss_hermite, su2_class_rule
 from holoquant.su2 import (
     MAX_DOUBLED_DEGREE,
@@ -375,8 +377,9 @@ def test_heat_kernel_truncation_reports_needed_degree():
     g = class_point(0.9)
     with pytest.raises(ValueError, match="converged"):
         heat_kernel(0.05, g, max_doubled_degree=10)
-    with pytest.raises(ValueError):
-        heat_kernel(0.0, g)
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            heat_kernel(t, g)
     big = hyperbolic(3.0)
     with pytest.raises(ValueError, match="converged"):
         heat_kernel(0.4, big, max_doubled_degree=12)
@@ -419,9 +422,126 @@ def test_transform_quadrature_of_the_constant_is_the_heat_mass():
 def test_transform_group_argument_validation():
     coeffs = PeterWeylCoeffs.character(1)
     g = GroupElement.identity()
-    with pytest.raises(ValueError):
-        transform_group(coeffs, g, 0.0)
-    with pytest.raises(ValueError):
-        transform_group_quadrature(coeffs, g, -0.3, euler_quadrature(4, 3, 8))
+    for hbar in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            transform_group(coeffs, g, hbar)
+    for hbar in (-0.3, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            transform_group_quadrature(coeffs, g, hbar, euler_quadrature(4, 3, 8))
     with pytest.raises(ValueError):
         transform_group_quadrature(coeffs, g, 0.5, gauss_hermite(8, 1.0))
+
+
+# ------------------------------------------------------- bytes of the kernels
+
+def _triple_loop_rep_entries(doubled, mats):
+    """Byte reference for _rep_entries: a scalar-indexed loop that forms
+    one term per (j, r, s) and adds it to +0.0 in ascending r."""
+    def powers(values):
+        out = np.empty((m + 1,) + values.shape, dtype=complex)
+        out[0] = 1.0
+        for k in range(1, m + 1):
+            out[k] = out[k - 1] * values
+        return out
+
+    m = doubled
+    count = mats.shape[0]
+    top_a = powers(mats[:, 0, 0])
+    top_b = powers(mats[:, 0, 1])
+    bot_c = powers(mats[:, 1, 0])
+    bot_d = powers(mats[:, 1, 1])
+    root = np.sqrt(np.array([float(math.comb(m, i)) for i in range(m + 1)]))
+    out = np.empty((count, m + 1, m + 1), dtype=complex)
+    for j in range(m + 1):
+        q = m - j
+        conv = np.zeros((m + 1, count), dtype=complex)
+        for r in range(q + 1):
+            left = math.comb(q, r) * top_a[q - r] * bot_c[r]
+            for s in range(j + 1):
+                conv[r + s] += (math.comb(j, s) * left) * top_b[j - s] * bot_d[s]
+        out[:, :, j] = (conv * (root[j] / root)[:, None]).T
+    return out
+
+
+def _byte_batches():
+    """Batches of 1 and 7 unitary elements, the same of complexified ones,
+    and a batch of 300 drawn from those 16.  The 7s hold the poles
+    theta = 0 (b = c = 0) and theta = pi (a = d = 0)."""
+    rng = np.random.default_rng(41)
+    angles = np.column_stack([rng.uniform(0.0, 2.0 * np.pi, 8),
+                              rng.uniform(0.0, np.pi, 8),
+                              rng.uniform(0.0, 4.0 * np.pi, 8)])
+    angles[[3, 5], 1] = [0.0, np.pi]
+    unitary = euler_matrix(angles)
+    stretch = np.exp(rng.uniform(-1.5, 1.5, 8))
+    hyper = np.zeros((8, 2, 2), dtype=complex)
+    hyper[:, 0, 0] = stretch
+    hyper[:, 1, 1] = 1.0 / stretch
+    distinct = np.concatenate([unitary, unitary @ hyper])
+    picks = rng.integers(0, len(distinct), 300)
+    batches = [(slice(0, 1), distinct[:1]), (slice(1, 8), distinct[1:8]),
+               (slice(8, 9), distinct[8:9]), (slice(9, 16), distinct[9:16]),
+               (picks, distinct[picks])]
+    return distinct, batches
+
+
+def test_rep_entries_keep_the_triple_loop_bytes():
+    distinct, batches = _byte_batches()
+    for doubled in range(MAX_DOUBLED_DEGREE + 1):
+        # the reference treats every element alone, so one pass over the
+        # distinct elements serves every batch
+        want = _triple_loop_rep_entries(doubled, distinct)
+        for rows, mats in batches:
+            got = su2._rep_entries(doubled, mats)
+            assert got.tobytes() == want[rows].tobytes(), (doubled, len(mats))
+
+
+def _unchunked_group_quadrature(coeffs, group_element, hbar, rule, tol=1e-9,
+                                max_doubled_degree=240):
+    """transform_group_quadrature in one pass over all nodes, with the
+    triple-loop entries."""
+    mats = euler_matrix(rule.nodes)
+    inverses = np.empty_like(mats)
+    inverses[:, 0, 0] = mats[:, 1, 1]
+    inverses[:, 0, 1] = -mats[:, 0, 1]
+    inverses[:, 1, 0] = -mats[:, 1, 0]
+    inverses[:, 1, 1] = mats[:, 0, 0]
+    shifted = np.einsum("ab,kbc->kac", group_element.matrix, inverses)
+    half_traces = 0.5 * (shifted[:, 0, 0] + shifted[:, 1, 1])
+    frob = np.sum(np.abs(shifted) ** 2, axis=(1, 2))
+    smax_sq = 0.5 * (frob + np.sqrt(np.maximum(frob * frob - 4.0, 0.0)))
+    radius = 0.5 * float(np.log(np.maximum(smax_sq, 1.0)).max())
+    kernel_vals = su2._heat_series(hbar, half_traces, radius, tol,
+                                   max_doubled_degree)
+    f_vals = np.zeros(mats.shape[0], dtype=complex)
+    for k, block in enumerate(coeffs.blocks):
+        if not np.any(block):
+            continue
+        entries = _triple_loop_rep_entries(k, mats)
+        f_vals += math.sqrt(k + 1) * np.einsum("ij,kij->k", block, entries)
+    return complex(np.sum(rule.weights * kernel_vals * f_vals))
+
+
+def _random_blocks():
+    rng = np.random.default_rng(43)
+    return PeterWeylCoeffs(tuple(
+        rng.normal(size=(k + 1, k + 1)) + 1j * rng.normal(size=(k + 1, k + 1))
+        for k in range(5)))
+
+
+@pytest.mark.parametrize("coeffs", [PeterWeylCoeffs.character(4), _random_blocks()],
+                         ids=["character-4", "random-0-4"])
+def test_group_quadrature_keeps_bytes_across_node_chunks(coeffs):
+    rule = euler_quadrature(40, 24, 80)
+    assert len(rule) > su2._NODE_CHUNK
+    g = GroupElement.from_euler(0.2, 0.8, 1.1)
+    tracemalloc.start()
+    try:
+        got = transform_group_quadrature(coeffs, g, 1.0, rule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = _unchunked_group_quadrature(coeffs, g, 1.0, rule)
+    assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+    # one (76800, 9, 9) table of the character's entries alone is 100 MB
+    assert peak < 60e6, peak
